@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
          {"posting_bytes_compressed", static_cast<double>(posting_bytes)},
          {"posting_bytes_decoded_equiv", static_cast<double>(decoded_bytes)},
          {"index_bytes_total", static_cast<double>(index->MemoryUsage())}});
-    // Load-path telemetry: copy vs zero-copy mmap of the same v3 image.
+    // Load-path telemetry: copy vs zero-copy mmap of the same v4 image.
     // kMap skips the posting-payload copy entirely, so its entry reports
     // ~0 resident posting bytes (the pages belong to the file mapping).
     {

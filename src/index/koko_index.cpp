@@ -264,24 +264,28 @@ Status KokoIndex::RebuildEntityCache() {
 
 void KokoIndex::RebuildSidCaches() {
   // Per-word sid lists. W rows are appended sentence by sentence, so the
-  // sid stream seen by each word is non-decreasing and Append() suffices.
-  word_sids_.clear();
+  // sid stream seen by each word is non-decreasing and Append() suffices;
+  // each gathered list is then packed once.
+  std::unordered_map<std::string, SidList> gathered;
   for (uint32_t row = 0; row < w_->NumRows(); ++row) {
-    word_sids_[w_->GetString(row, kWWord)].Append(
+    gathered[w_->GetString(row, kWWord)].Append(
         static_cast<uint32_t>(w_->GetInt(row, kWSid)));
   }
-
-  for (auto& [word, sids] : word_sids_) sids.ShrinkToFit();
+  word_sids_.clear();
+  word_sids_.reserve(gathered.size());
+  for (const auto& [word, sids] : gathered) {
+    word_sids_.emplace(word, BlockList::FromSidList(sids));
+  }
 
   // Per-trie-node sid lists: project each node's W-row list (row ids are
   // ascending, hence sid-sorted) onto the sid column once.
   for (Trie* trie : {&pl_trie_, &pos_trie_}) {
     for (TrieNode& node : trie->nodes) {
-      node.sids = BlockList();
+      SidList sids;
       for (uint32_t row : node.rows) {
-        node.sids.Append(static_cast<uint32_t>(w_->GetInt(row, kWSid)));
+        sids.Append(static_cast<uint32_t>(w_->GetInt(row, kWSid)));
       }
-      node.sids.ShrinkToFit();
+      node.sids = BlockList::FromSidList(sids);
     }
   }
 
@@ -292,15 +296,17 @@ void KokoIndex::RebuildEntitySidCaches() {
   // Per-type entity buckets + sid lists. all_entities_ is in E-row order,
   // which is sid-sorted.
   for (auto& bucket : entities_by_type_) bucket.clear();
-  for (auto& sids : entity_sids_by_type_) sids = BlockList();
-  all_entity_sids_ = BlockList();
+  std::array<SidList, kNumEntityTypes> type_sids;
+  SidList all_sids;
   for (const EntityPosting& p : all_entities_) {
     entities_by_type_[static_cast<size_t>(p.type)].push_back(p);
-    entity_sids_by_type_[static_cast<size_t>(p.type)].Append(p.sid);
-    all_entity_sids_.Append(p.sid);
+    type_sids[static_cast<size_t>(p.type)].Append(p.sid);
+    all_sids.Append(p.sid);
   }
-  for (auto& sids : entity_sids_by_type_) sids.ShrinkToFit();
-  all_entity_sids_.ShrinkToFit();
+  for (size_t t = 0; t < kNumEntityTypes; ++t) {
+    entity_sids_by_type_[t] = BlockList::FromSidList(type_sids[t]);
+  }
+  all_entity_sids_ = BlockList::FromSidList(all_sids);
 }
 
 // ---- Lookups ------------------------------------------------------------------
@@ -467,185 +473,115 @@ size_t KokoIndex::SidCacheDecodedEquivalentBytes() const {
 
 // ---- Persistence ----------------------------------------------------------------
 //
-// File layout (version 4, the current write format):
+// File layout (version 4, the only image format):
 //   u32 magic "KIDX" | u32 version | catalog (tables W, E, PL, POS) |
 //   word sid lists   | PL-trie node sid lists | POS-trie node sid lists
-// Every sid list is stored in its *packed* block form — u32 count, the
+// Every sid list is written as the BlockList holds it — u32 count, the
 // skip-first / skip-offset / skip-width tables, then the bit-packed block
 // payloads behind an explicit alignment pad that puts them at a 4-byte
 // file offset (mmap is page-aligned, so file alignment is memory
 // alignment for the SIMD decode kernels). Load is bounds-checked vector
 // reads plus a structural validation walk, and the layout is mmap-ready.
-// Version-3 images (varint-delta blocks), version-2 images (flat
-// varint-delta lists), and legacy catalog-only images (no "KIDX" magic)
-// still load; v2 pays a re-encode into blocks, legacy a full
-// RebuildSidCaches. See docs/INDEX_FORMAT.md.
+// Any other version, or a file without the "KIDX" magic, is rejected with
+// ParseError. See docs/INDEX_FORMAT.md.
 
 namespace {
 constexpr uint32_t kIndexMagic = 0x4b494458;  // "KIDX"
-constexpr uint32_t kIndexVersionPacked = 4;
-constexpr uint32_t kIndexVersionBlocks = 3;
-constexpr uint32_t kIndexVersionFlatDeltas = 2;
-
-bool SupportedIndexVersion(uint32_t version) {
-  return version == kIndexVersionPacked || version == kIndexVersionBlocks ||
-         version == kIndexVersionFlatDeltas;
-}
-
-void WriteSidListV2(BinaryWriter* writer, const SidList& list) {
-  writer->WriteU32(static_cast<uint32_t>(list.size()));
-  writer->WriteVector(EncodeDeltas(list));
-}
-
-Result<SidList> ReadSidListV2(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, reader->ReadVector<uint8_t>());
-  KOKO_ASSIGN_OR_RETURN(SidList list, DecodeDeltas(bytes));
-  if (list.size() != count) {
-    return Status::ParseError("sid list delta stream decoded to wrong length");
-  }
-  return list;
-}
+constexpr uint32_t kIndexVersion = 4;
 
 void WriteU32Array(BinaryWriter* writer, const U32View& v) {
   writer->WriteU32(static_cast<uint32_t>(v.size()));
   writer->WriteBytes(v.raw(), v.raw_size());
 }
 
-// u32 length | u8 pad count | pad zeros | payload. The pad puts the
-// payload at a 4-byte absolute file offset (Position() is absolute even
-// inside a sharded image — all shards stream through one writer), so an
-// mmap'ed payload is 4-byte aligned in memory. On a non-seekable sink the
-// pad degrades to 0; the image stays valid, just unaligned (readers use
-// unaligned-tolerant loads — alignment is a performance property).
-void WritePackedPayload(BinaryWriter* writer, const uint8_t* payload,
-                        size_t size) {
-  writer->WriteU32(static_cast<uint32_t>(size));
+// u32 count | skip tables | u32 length | u8 pad count | pad zeros |
+// payload. The pad puts the payload at a 4-byte absolute file offset
+// (Position() is absolute even inside a sharded image — all shards stream
+// through one writer), so an mmap'ed payload is 4-byte aligned in memory.
+// On a non-seekable sink the pad degrades to 0; the image stays valid,
+// just unaligned (readers use unaligned-tolerant loads — alignment is a
+// performance property). The parts are written through their borrowed
+// views, so a mapped index saves identically to an owning one.
+void WriteBlockList(BinaryWriter* writer, const BlockList& list) {
+  writer->WriteU32(static_cast<uint32_t>(list.size()));
+  WriteU32Array(writer, list.skip_first());
+  WriteU32Array(writer, list.skip_offset());
+  WriteU32Array(writer, list.skip_width());
+  const MemorySpan payload = list.bytes();
+  writer->WriteU32(static_cast<uint32_t>(payload.size()));
   const int64_t pos = writer->Position();
   const uint8_t pad =
       pos < 0 ? 0 : static_cast<uint8_t>((4 - ((pos + 1) % 4)) % 4);
   writer->WriteU8(pad);
   for (uint8_t i = 0; i < pad; ++i) writer->WriteU8(0);
-  writer->WriteBytes(payload, size);
-}
-
-void WriteBlockList(BinaryWriter* writer, const BlockList& list,
-                    uint32_t version) {
-  if (version == kIndexVersionFlatDeltas) {
-    WriteSidListV2(writer, list.Decode());
-    return;
-  }
-  if (version == kIndexVersionPacked) {
-    if (list.packed()) {
-      // Already the wire form: write the views verbatim (a v4-mapped
-      // index re-saves byte-identically, like v3 lists under v3).
-      writer->WriteU32(static_cast<uint32_t>(list.size()));
-      WriteU32Array(writer, list.skip_first());
-      WriteU32Array(writer, list.skip_offset());
-      WriteU32Array(writer, list.skip_width());
-      const MemorySpan payload = list.bytes();
-      WritePackedPayload(writer, payload.data(), payload.size());
-    } else {
-      const PackedBlockParts parts = PackBlockList(list);
-      writer->WriteU32(static_cast<uint32_t>(list.size()));
-      WriteU32Array(writer, U32View(parts.skip_first));
-      WriteU32Array(writer, U32View(parts.skip_offset));
-      WriteU32Array(writer, U32View(parts.skip_width));
-      WritePackedPayload(writer, parts.payload.data(), parts.payload.size());
-    }
-    return;
-  }
-  // v3: a packed (v4-loaded) list re-encodes into the varint block form.
-  if (list.packed()) {
-    WriteBlockList(writer, BlockList::FromSidList(list.Decode()), version);
-    return;
-  }
-  // The parts are written through their borrowed views, so a mapped index
-  // (whose arrays alias another file) saves identically to an owning one.
-  writer->WriteU32(static_cast<uint32_t>(list.size()));
-  WriteU32Array(writer, list.skip_first());
-  WriteU32Array(writer, list.skip_offset());
-  const MemorySpan payload = list.bytes();
-  writer->WriteU32(static_cast<uint32_t>(payload.size()));
   writer->WriteBytes(payload.data(), payload.size());
 }
 
-Result<BlockList> ReadBlockList(BinaryReader* reader, uint32_t version) {
-  if (version == kIndexVersionFlatDeltas) {
-    KOKO_ASSIGN_OR_RETURN(SidList list, ReadSidListV2(reader));
-    return BlockList::FromSidList(list);
-  }
+Result<BlockList> ReadBlockList(BinaryReader* reader) {
   KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
   KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_first,
                         reader->ReadVector<uint32_t>());
   KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_offset,
                         reader->ReadVector<uint32_t>());
-  if (version == kIndexVersionPacked) {
-    KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_width,
-                          reader->ReadVector<uint32_t>());
-    KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
-    KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
-    if (pad > 3) {
-      return Status::ParseError("packed block list: bad alignment pad length");
-    }
-    for (uint8_t i = 0; i < pad; ++i) {
-      KOKO_ASSIGN_OR_RETURN(uint8_t zero, reader->ReadU8());
-      if (zero != 0) {
-        return Status::ParseError("packed block list: nonzero alignment pad");
-      }
-    }
-    KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          reader->ReadRawBytes(payload_len));
-    return BlockList::FromPackedParts(count, std::move(skip_first),
-                                      std::move(skip_offset),
-                                      std::move(skip_width),
-                                      std::move(payload));
+  KOKO_ASSIGN_OR_RETURN(std::vector<uint32_t> skip_width,
+                        reader->ReadVector<uint32_t>());
+  KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
+  KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
+  if (pad > 3) {
+    return Status::ParseError("packed block list: bad alignment pad length");
   }
-  KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, reader->ReadVector<uint8_t>());
-  return BlockList::FromParts(count, std::move(skip_first),
-                              std::move(skip_offset), std::move(bytes));
+  for (uint8_t i = 0; i < pad; ++i) {
+    KOKO_ASSIGN_OR_RETURN(uint8_t zero, reader->ReadU8());
+    if (zero != 0) {
+      return Status::ParseError("packed block list: nonzero alignment pad");
+    }
+  }
+  KOKO_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                        reader->ReadRawBytes(payload_len));
+  return BlockList::FromPackedParts(count, std::move(skip_first),
+                                    std::move(skip_offset),
+                                    std::move(skip_width), std::move(payload));
 }
 
-// The zero-copy counterpart of ReadBlockList for v3/v4 images: the arrays
-// come back as views into the mapped span (validated by
-// FromMapped/FromMappedPacked, never copied).
-Result<BlockList> ReadBlockListMapped(SpanReader* reader, uint32_t version) {
+// The zero-copy counterpart of ReadBlockList: the arrays come back as views
+// into the mapped span (validated by FromMappedPacked, never copied).
+Result<BlockList> ReadBlockListMapped(SpanReader* reader) {
   KOKO_ASSIGN_OR_RETURN(uint32_t count, reader->ReadU32());
   KOKO_ASSIGN_OR_RETURN(U32View skip_first, reader->ReadU32Array());
   KOKO_ASSIGN_OR_RETURN(U32View skip_offset, reader->ReadU32Array());
-  if (version == kIndexVersionPacked) {
-    KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
-    KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
-    KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
-    if (pad > 3) {
-      return Status::ParseError("packed block list: bad alignment pad length");
-    }
-    KOKO_ASSIGN_OR_RETURN(MemorySpan pad_bytes, reader->ReadRawSpan(pad));
-    for (size_t i = 0; i < pad_bytes.size(); ++i) {
-      if (pad_bytes.data()[i] != 0) {
-        return Status::ParseError("packed block list: nonzero alignment pad");
-      }
-    }
-    KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadRawSpan(payload_len));
-    return BlockList::FromMappedPacked(count, skip_first, skip_offset,
-                                       skip_width, payload);
+  KOKO_ASSIGN_OR_RETURN(U32View skip_width, reader->ReadU32Array());
+  KOKO_ASSIGN_OR_RETURN(uint32_t payload_len, reader->ReadU32());
+  KOKO_ASSIGN_OR_RETURN(uint8_t pad, reader->ReadU8());
+  if (pad > 3) {
+    return Status::ParseError("packed block list: bad alignment pad length");
   }
-  KOKO_ASSIGN_OR_RETURN(MemorySpan bytes, reader->ReadByteArray());
-  return BlockList::FromMapped(count, skip_first, skip_offset, bytes);
+  KOKO_ASSIGN_OR_RETURN(MemorySpan pad_bytes, reader->ReadRawSpan(pad));
+  for (size_t i = 0; i < pad_bytes.size(); ++i) {
+    if (pad_bytes.data()[i] != 0) {
+      return Status::ParseError("packed block list: nonzero alignment pad");
+    }
+  }
+  KOKO_ASSIGN_OR_RETURN(MemorySpan payload, reader->ReadRawSpan(payload_len));
+  return BlockList::FromMappedPacked(count, skip_first, skip_offset,
+                                     skip_width, payload);
+}
+
+// Reads and checks the "KIDX" magic and version that open every image.
+Status ReadIndexHeader(BinaryReader* reader) {
+  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader->ReadU32());
+  if (magic != kIndexMagic) return Status::ParseError("bad index magic");
+  KOKO_ASSIGN_OR_RETURN(uint32_t version, reader->ReadU32());
+  if (version != kIndexVersion) {
+    return Status::ParseError("unsupported index version " +
+                              std::to_string(version));
+  }
+  return Status::OK();
 }
 }  // namespace
 
 Status KokoIndex::Save(BinaryWriter* writer) const {
-  return Save(writer, kIndexVersionPacked);
-}
-
-Status KokoIndex::Save(BinaryWriter* writer, uint32_t version) const {
-  if (!SupportedIndexVersion(version)) {
-    return Status::InvalidArgument("unsupported index image version " +
-                                   std::to_string(version));
-  }
   writer->WriteU32(kIndexMagic);
-  writer->WriteU32(version);
+  writer->WriteU32(kIndexVersion);
   KOKO_RETURN_IF_ERROR(catalog_.Save(writer));
   // Word sid lists, in sorted word order for deterministic images.
   std::vector<const std::pair<const std::string, BlockList>*> words;
@@ -656,13 +592,11 @@ Status KokoIndex::Save(BinaryWriter* writer, uint32_t version) const {
   writer->WriteU32(static_cast<uint32_t>(words.size()));
   for (const auto* entry : words) {
     writer->WriteString(entry->first);
-    WriteBlockList(writer, entry->second, version);
+    WriteBlockList(writer, entry->second);
   }
   for (const Trie* trie : {&pl_trie_, &pos_trie_}) {
     writer->WriteU32(static_cast<uint32_t>(trie->nodes.size()));
-    for (const TrieNode& node : trie->nodes) {
-      WriteBlockList(writer, node.sids, version);
-    }
+    for (const TrieNode& node : trie->nodes) WriteBlockList(writer, node.sids);
   }
   if (!writer->ok()) return Status::IoError("index write failure");
   return Status::OK();
@@ -785,29 +719,21 @@ Status KokoIndex::LoadSidCacheSections(ReadU32&& read_u32,
     }
   }
   RebuildEntitySidCaches();
-  sid_caches_from_disk_ = true;
   return Status::OK();
 }
 
 Result<std::unique_ptr<KokoIndex>> KokoIndex::Load(BinaryReader* reader) {
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader->ReadU32());
-  if (magic != kIndexMagic) return Status::ParseError("bad index magic");
-  KOKO_ASSIGN_OR_RETURN(uint32_t version, reader->ReadU32());
-  if (!SupportedIndexVersion(version)) {
-    return Status::ParseError("unsupported index version " +
-                              std::to_string(version));
-  }
+  KOKO_RETURN_IF_ERROR(ReadIndexHeader(reader));
   auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
   KOKO_RETURN_IF_ERROR(index->catalog_.Load(reader));
   KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
-  // Restore the compressed sid caches instead of re-projecting W. A v4/v3
-  // image holds the exact in-memory block layout (validated structurally
-  // by BlockList::FromPackedParts/FromParts); a v2 image holds flat delta
-  // streams that are re-encoded into blocks as they are read.
+  // Restore the compressed sid caches instead of re-projecting W: the
+  // image holds the exact in-memory block layout, validated structurally
+  // by BlockList::FromPackedParts.
   KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(
       [&] { return reader->ReadU32(); },
       [&] { return reader->ReadString(); },
-      [&] { return ReadBlockList(reader, version); }));
+      [&] { return ReadBlockList(reader); }));
   return index;
 }
 
@@ -819,21 +745,7 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
   SpanStreamBuf stream_buf(span);
   std::istream in(&stream_buf);
   BinaryReader reader(&in);
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-  if (magic != kIndexMagic) return Status::ParseError("bad index magic");
-  KOKO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (!SupportedIndexVersion(version)) {
-    return Status::ParseError("unsupported index version " +
-                              std::to_string(version));
-  }
-  if (version == kIndexVersionFlatDeltas) {
-    // v2 flat-delta lists have no aliasable layout: fall back to the
-    // copying stream loader over the same mapped bytes. The mapping is
-    // released once the copy completes.
-    in.clear();
-    in.seekg(0);
-    return Load(&reader);
-  }
+  KOKO_RETURN_IF_ERROR(ReadIndexHeader(&reader));
   auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
   KOKO_RETURN_IF_ERROR(index->catalog_.Load(&reader));
   KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
@@ -842,13 +754,13 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::LoadMapped(
     return Status::IoError("cannot locate sid-cache section in mapped image");
   }
   // Posting sections: validate structure, then alias skip tables and
-  // delta-block payloads straight into the mapping ("validate before
-  // alias" — a corrupt image fails here, never at query time).
+  // block payloads straight into the mapping ("validate before alias" — a
+  // corrupt image fails here, never at query time).
   SpanReader mapped(span, static_cast<size_t>(catalog_end));
   KOKO_RETURN_IF_ERROR(index->LoadSidCacheSections(
       [&] { return mapped.ReadU32(); },
       [&] { return mapped.ReadString(); },
-      [&] { return ReadBlockListMapped(&mapped, version); }));
+      [&] { return ReadBlockListMapped(&mapped); }));
   index->mapping_ = std::move(file);
   return index;
 }
@@ -863,28 +775,13 @@ Result<std::unique_ptr<KokoIndex>> KokoIndex::Load(const std::string& path,
     if (opened.ok()) {
       std::shared_ptr<MappedFile> file = std::move(*opened);
       const MemorySpan span = file->span();
-      // A legacy catalog-only image has no "KIDX" magic and nothing to
-      // alias; hand it to the copying loader below.
-      SpanReader probe(span);
-      auto magic = probe.ReadU32();
-      if (magic.ok() && *magic == kIndexMagic) {
-        return LoadMapped(std::move(file), span);
-      }
+      return LoadMapped(std::move(file), span);
     }
   }
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
   BinaryReader reader(&in);
-  KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
-  in.clear();
-  in.seekg(0);
-  if (magic == kIndexMagic) return Load(&reader);
-  // Legacy catalog-only image: rebuild every sid cache from the tables.
-  auto index = std::unique_ptr<KokoIndex>(new KokoIndex());
-  KOKO_RETURN_IF_ERROR(index->catalog_.Load(&reader));
-  KOKO_RETURN_IF_ERROR(index->InitFromCatalog());
-  index->RebuildSidCaches();
-  return index;
+  return Load(&reader);
 }
 
 }  // namespace koko

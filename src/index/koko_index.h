@@ -21,15 +21,15 @@ namespace koko {
 
 /// How Load materialises an index image.
 ///
-///  * `kCopy` — deserialize into owned memory (the default; works for
-///    every image version).
-///  * `kMap` — mmap the file and, for v4/v3 images, alias every posting
-///    payload (skip tables + block payloads) into the mapping after the
-///    same structural validation the copy path runs. No posting byte is
-///    copied, load time drops to catalog parse + validation, and resident
-///    posting memory is page-cache-backed (shared across processes mapping
-///    the same image). Older images (v2 flat deltas, v1 catalog-only) have
-///    no aliasable layout and transparently fall back to a copying load.
+///  * `kCopy` — deserialize into owned memory (the default).
+///  * `kMap` — mmap the file and alias every posting payload (skip tables
+///    + block payloads) into the mapping after the same structural
+///    validation the copy path runs. No posting byte is copied, load time
+///    drops to catalog parse + validation, and resident posting memory is
+///    page-cache-backed (shared across processes mapping the same image).
+///
+/// Both modes read only v4 images; any other version, or a file without
+/// the "KIDX" magic, fails with ParseError.
 enum class LoadMode { kCopy, kMap };
 
 /// \brief KOKO's multi-indexing scheme (paper §3).
@@ -115,10 +115,10 @@ class KokoIndex {
   // Sorted, deduplicated sentence-id lists precomputed at Build/Load time:
   // one per word, per entity type, and per hierarchy-trie node. DPLI's
   // candidate pruning intersects these directly instead of materialising
-  // Quintuple postings and projecting out sids per query. The lists stay
-  // resident in their block-compressed form (`BlockList`: fixed-size
-  // varint-delta blocks + skip table) and are intersected in place —
-  // they are never decoded wholesale.
+  // Quintuple postings and projecting out sids per query. Build packs each
+  // list once into its block-compressed form (`BlockList`: fixed-size
+  // bit-packed delta blocks + skip table), the same bytes a v4 image holds;
+  // lists are intersected in place and never decoded wholesale.
 
   /// Block-compressed sid list of a surface token; nullptr when absent.
   const BlockList* WordSids(std::string_view token) const;
@@ -197,11 +197,11 @@ class KokoIndex {
   /// Storage-level view (tables W, E, PL, POS) for tests and tooling.
   const Catalog& catalog() const { return catalog_; }
 
-  /// Persists the index: the relational catalog followed by the columnar
-  /// sid caches in their block-compressed form (v4: per-list skip tables +
-  /// 4-byte-aligned bit-packed block payloads the SIMD kernels decode with
-  /// word-granular loads), so Load restores them with bounds-checked
-  /// vector reads instead of re-projecting the W table.
+  /// Persists the index as a v4 image: the relational catalog followed by
+  /// the columnar sid caches written verbatim from their BlockLists
+  /// (per-list skip tables + 4-byte-aligned bit-packed block payloads), so
+  /// Load restores them with bounds-checked vector reads instead of
+  /// re-projecting the W table, and a loaded index re-saves byte for byte.
   Status Save(const std::string& path) const;
   static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path) {
     return Load(path, LoadMode::kCopy);
@@ -209,29 +209,19 @@ class KokoIndex {
   static Result<std::unique_ptr<KokoIndex>> Load(const std::string& path,
                                                  LoadMode mode);
 
-  /// Zero-copy load of one v4/v3 image occupying `span` inside `file`'s
+  /// Zero-copy load of one v4 image occupying `span` inside `file`'s
   /// mapping (the whole file, or one shard's extent of a sharded file).
-  /// The returned index holds `file` alive for its lifetime; v2 images
-  /// fall back to a copying parse of the mapped bytes.
+  /// The returned index holds `file` alive for its lifetime.
   static Result<std::unique_ptr<KokoIndex>> LoadMapped(
       std::shared_ptr<MappedFile> file, MemorySpan span);
 
   /// True when this index's posting payloads alias a file mapping (kMap
-  /// load of a v4/v3 image) rather than owned memory.
+  /// load) rather than owned memory.
   bool mapped() const { return mapping_ != nullptr; }
 
   /// Stream-based variants (one shard's section of a ShardedKokoIndex file).
-  /// `version` selects the image format: 4 (current, bit-packed blocks),
-  /// 3 (varint-delta blocks), or 2 (flat varint-delta lists) — writing the
-  /// older versions exists for legacy-load tests; the no-version overload
-  /// writes the current format.
   Status Save(BinaryWriter* writer) const;
-  Status Save(BinaryWriter* writer, uint32_t version) const;
   static Result<std::unique_ptr<KokoIndex>> Load(BinaryReader* reader);
-
-  /// True when the last Load restored the word/trie sid caches from their
-  /// delta-encoded on-disk form (rather than rebuilding from the tables).
-  bool sid_caches_from_disk() const { return sid_caches_from_disk_; }
 
  private:
   // Merged dependency-tree trie (one per label type).
@@ -267,8 +257,8 @@ class KokoIndex {
   void ExportClosureTable(const Trie& trie, const std::string& table_name);
   Status RebuildTrieFromClosure(const std::string& table_name, Trie* trie,
                                 int w_node_col);
-  /// Post-catalog-load setup shared by both image formats: resolve W/E,
-  /// rebuild tries from the closure tables, entity cache, stats.
+  /// Post-catalog-load setup shared by the copy and map loaders: resolve
+  /// W/E, rebuild tries from the closure tables, entity cache, stats.
   Status InitFromCatalog();
   /// Parses the word/trie sid-cache sections — one protocol shared by the
   /// stream (copy) and mapped (zero-copy) loaders, abstracted over the
@@ -279,7 +269,8 @@ class KokoIndex {
                               ReadList&& read_list);
   Status RebuildEntityCache();
   /// Fills the columnar sid caches (word/entity-type/trie-node lists) from
-  /// the W and E tables; called at the end of Build and legacy Load.
+  /// the W and E tables, gathering each list decoded and packing it once;
+  /// called at the end of Build.
   void RebuildSidCaches();
   /// The entity-side subset of RebuildSidCaches (per-type buckets + sid
   /// lists from all_entities_); cheap, so always recomputed on Load.
@@ -296,7 +287,6 @@ class KokoIndex {
   std::array<BlockList, kNumEntityTypes> entity_sids_by_type_;
   BlockList all_entity_sids_;
   Stats stats_;
-  bool sid_caches_from_disk_ = false;
   /// Keeps the file mapping alive while any BlockList views point into it
   /// (kMap loads only; shards of one sharded file share a single mapping).
   std::shared_ptr<MappedFile> mapping_;

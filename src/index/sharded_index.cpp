@@ -15,11 +15,10 @@ namespace {
 
 // Manifest v2 records each shard image's byte length next to its sid
 // range, so Load can hand every shard a private reader positioned at its
-// extent and deserialize the shards in parallel. v1 manifests (no extents)
-// still load, sequentially.
+// extent and deserialize the shards in parallel. Any other manifest
+// version is rejected.
 constexpr uint32_t kShardedMagic = 0x4b534844;  // "KSHD"
 constexpr uint32_t kShardedVersion = 2;
-constexpr uint32_t kShardedVersionNoExtents = 1;
 
 std::vector<ShardedKokoIndex::ShardRange> MakeRanges(
     const ShardedKokoIndex::Options& options, uint32_t num_sentences) {
@@ -309,7 +308,7 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
   KOKO_ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
   if (magic != kShardedMagic) return Status::ParseError("bad shard manifest magic");
   KOKO_ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
-  if (version != kShardedVersion && version != kShardedVersionNoExtents) {
+  if (version != kShardedVersion) {
     return Status::ParseError("unsupported shard manifest version " +
                               std::to_string(version));
   }
@@ -323,22 +322,10 @@ Result<std::unique_ptr<ShardedKokoIndex>> ShardedKokoIndex::Load(
       return Status::ParseError("shard manifest ranges not contiguous");
     }
     index->ranges_.push_back({begin, end});
-    if (version == kShardedVersion) {
-      KOKO_ASSIGN_OR_RETURN(uint64_t extent, reader.ReadU64());
-      extents.push_back(extent);
-    }
+    KOKO_ASSIGN_OR_RETURN(uint64_t extent, reader.ReadU64());
+    extents.push_back(extent);
   }
   index->shards_.resize(k);
-
-  if (version == kShardedVersionNoExtents) {
-    // Legacy manifest: no extents, images must be consumed in order.
-    for (uint32_t i = 0; i < k; ++i) {
-      KOKO_ASSIGN_OR_RETURN(std::unique_ptr<KokoIndex> shard,
-                            KokoIndex::Load(&reader));
-      index->shards_[i] = std::move(shard);
-    }
-    return index;
-  }
 
   // Absolute offset of each shard image, bounds-checked against the file.
   const std::streampos images_begin = in.tellg();

@@ -104,13 +104,13 @@ class ShardedKokoIndex {
   size_t SidCacheMemoryUsage() const;
 
   /// True when every shard's posting payloads alias one shared file
-  /// mapping (kMap load of a v2-manifest file with v3 shard images).
+  /// mapping (kMap load).
   bool mapped() const;
 
-  /// One file: shard manifest (count + sid ranges + per-shard image byte
-  /// lengths) followed by each shard's full KokoIndex image (block-
-  /// compressed sid caches included). The byte extents let Load hand each
-  /// shard's section to an independent reader.
+  /// One file: a v2 shard manifest (count + sid ranges + per-shard image
+  /// byte lengths) followed by each shard's full v4 KokoIndex image
+  /// (block-compressed sid caches included). The byte extents let Load
+  /// hand each shard's section to an independent reader.
   Status Save(const std::string& path) const;
 
   struct LoadOptions {
@@ -122,15 +122,14 @@ class ShardedKokoIndex {
     /// kMap memory-maps the file once and hands every shard its extent as
     /// a sub-span of the single shared mapping: shards validate structure
     /// in parallel and alias their postings in place (no payload copy;
-    /// the mapping outlives the index via shared ownership). v1 manifests
-    /// and non-v3 shard images transparently fall back to copying.
+    /// the mapping outlives the index via shared ownership).
     LoadMode mode = LoadMode::kCopy;
   };
 
   /// Deserializes the shards in parallel (each worker opens its own file
   /// handle and seeks to its shard's extent from the manifest, or — in
-  /// kMap mode — parses its sub-span of one shared mapping). Legacy v1
-  /// manifests carry no extents and load sequentially.
+  /// kMap mode — parses its sub-span of one shared mapping). A manifest
+  /// other than v2, or a shard image other than v4, fails with ParseError.
   static Result<std::unique_ptr<ShardedKokoIndex>> Load(const std::string& path) {
     return Load(path, LoadOptions());
   }

@@ -121,15 +121,13 @@ struct EngineOptions {
   /// across different corpora.
   ScoreCache* score_cache = nullptr;
   /// Cost-based clause planning for the DPLI phase (koko/planner.h): order
-  /// clause intersections by estimated selectivity, pick the per-clause-pair
-  /// representation (in-place block intersect vs decode-then-gallop) from
-  /// the measured skew crossover, and decide sid-semi-join vs quintuple
-  /// fallback per cross-index path. Candidate sets are **byte-identical**
+  /// clause intersections by estimated selectivity and decide sid-semi-join
+  /// vs quintuple fallback per cross-index path. Candidate sets are **byte-identical**
   /// with the planner on or off — plans change cost, never results — so
   /// this defaults on; `false` forces the legacy fixed-order pipeline (the
   /// parity baseline).
   bool use_planner = true;
-  /// Cost-model thresholds (calibrated by bench_micro's skew sweep).
+  /// Cost-model thresholds (see PlannerOptions).
   PlannerOptions planner;
   /// Cross-query compiled-plan cache keyed by clause fingerprint (borrowed,
   /// thread-safe; must outlive the call). Null — the default — rebuilds the

@@ -35,12 +35,10 @@ PathShape ShapeOf(const PathQuery& path) {
 }
 
 uint64_t OptionsFingerprint(const PlannerOptions& options) {
-  uint64_t h = Mix64(options.decode_gallop_min_ratio);
-  h = HashCombine(h, Mix64(options.decode_gallop_max_ratio));
   uint64_t frac_bits = 0;
   static_assert(sizeof(frac_bits) == sizeof(options.semi_join_max_fraction));
   std::memcpy(&frac_bits, &options.semi_join_max_fraction, sizeof(frac_bits));
-  return HashCombine(h, Mix64(frac_bits));
+  return Mix64(frac_bits);
 }
 
 std::string QuoteWords(const std::vector<std::string>& words) {
@@ -77,22 +75,6 @@ uint64_t PlanFingerprint(const CompiledQuery& cq) {
     }
   }
   return h;
-}
-
-IntersectRep ChooseIntersectRep(uint64_t list_estimate,
-                                uint64_t block_estimate,
-                                const PlannerOptions& options) {
-  // A compressed side no larger than the accumulator: the in-place kernel
-  // is already the bulk-decode merge (or walks the block side as the
-  // smaller), so there is nothing for a wholesale decode to win.
-  if (block_estimate <= list_estimate) return IntersectRep::kBlockInPlace;
-  const uint64_t ratio =
-      block_estimate / std::max<uint64_t>(list_estimate, 1);
-  if (ratio >= options.decode_gallop_min_ratio &&
-      ratio < options.decode_gallop_max_ratio) {
-    return IntersectRep::kDecodeThenGallop;
-  }
-  return IntersectRep::kBlockInPlace;
 }
 
 std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
@@ -201,21 +183,6 @@ std::shared_ptr<const QueryPlan> BuildQueryPlan(const KokoIndex& index,
                    [](const PlannedAtom& a, const PlannedAtom& b) {
                      return a.estimate < b.estimate;
                    });
-
-  // ---- Per-pair representation: the accumulator after step 0 is bounded
-  // by the smallest estimate, so every later compressed atom is costed
-  // against it. Atom 0's rep only matters when it stays a deferred block
-  // meeting a decoded atom 1 — there the block is the smaller side.
-  const uint64_t acc_estimate = plan->atoms[0].estimate;
-  for (size_t i = 0; i < plan->atoms.size(); ++i) {
-    PlannedAtom& atom = plan->atoms[i];
-    if (!atom.block_backed) continue;
-    atom.rep = i == 0 ? ChooseIntersectRep(
-                            plan->atoms.size() > 1 ? plan->atoms[1].estimate
-                                                   : atom.estimate,
-                            atom.estimate, options)
-                      : ChooseIntersectRep(acc_estimate, atom.estimate, options);
-  }
   return plan;
 }
 
@@ -231,7 +198,6 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
   // Step-0 compressed atom: held un-decoded until the second source fixes
   // the cheapest join (block x block stays fully in place).
   const BlockList* pending_block = nullptr;
-  IntersectRep pending_rep = IntersectRep::kBlockInPlace;
 
   for (const PlannedAtom& atom : plan.atoms) {
     SidList src;
@@ -274,7 +240,7 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
 
     if (src_is_list) {
       if (pending_block != nullptr) {
-        acc = IntersectWithRep(src, *pending_block, pending_rep);
+        acc = Intersect(src, *pending_block);
         pending_block = nullptr;
         have_list = true;
       } else if (have_list) {
@@ -289,10 +255,9 @@ PlannedCandidates CollectPlannedCandidates(const KokoIndex& index,
         pending_block = nullptr;
         have_list = true;
       } else if (have_list) {
-        acc = IntersectWithRep(acc, *src_block, atom.rep);
+        acc = Intersect(acc, *src_block);
       } else {
         pending_block = src_block;
-        pending_rep = atom.rep;
       }
     }
     // Short-circuit: an empty accumulator proves the (shard's) answer

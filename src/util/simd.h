@@ -11,8 +11,8 @@ namespace simd {
 
 /// \brief Runtime-dispatched SIMD kernels for the 128-sid posting blocks.
 ///
-/// The hot loops of DPLI — varint gap decode, bit-packed gap decode, and
-/// sorted-set intersection — compile once per instruction set into separate
+/// The hot loops of DPLI — bit-packed gap decode and sorted-set
+/// intersection — compile once per instruction set into separate
 /// translation units (simd_sse.cpp with -msse4.2, simd_avx2.cpp with
 /// -mavx2, simd_neon.cpp on aarch64) plus a portable scalar fallback. The
 /// best ISA the CPU supports is chosen once, at first use, via cpuid; the
@@ -40,18 +40,12 @@ inline constexpr size_t kIntersectOutSlack = 8;
 /// byte-identical output (the differential suite in sid_ops_test.cpp
 /// enforces this across every available ISA).
 struct Kernels {
-  /// Decodes one varint-delta posting block: out[0] = first, then `count-1`
-  /// LEB128-varint gaps read from `p` accumulate into absolute sids.
-  /// The payload must be pre-validated (BlockList "validate before alias");
-  /// `p` may be unaligned and `count` is at most BlockList::kBlockSids.
-  void (*decode_varint_block)(const uint8_t* p, uint32_t first, size_t count,
-                              uint32_t* out);
-
-  /// Decodes one fixed-width bit-packed posting block (the v4 image form):
-  /// out[0] = first, then `count-1` gaps of `width` bits each, packed
-  /// LSB-first into a little-endian bitstream whose total size is padded to
-  /// a multiple of 4 bytes (so word-granular loads never cross the block's
-  /// end). `width` <= 32; payload pre-validated; `p` may be unaligned.
+  /// Decodes one fixed-width bit-packed posting block (the BlockList
+  /// payload, identical in memory and in the v4 image): out[0] = first,
+  /// then `count-1` gaps of `width` bits each, packed LSB-first into a
+  /// little-endian bitstream whose total size is padded to a multiple of 4
+  /// bytes (so word-granular loads never cross the block's end).
+  /// `width` <= 32; payload pre-validated; `p` may be unaligned.
   void (*unpack_block)(const uint8_t* p, uint32_t width, uint32_t first,
                        size_t count, uint32_t* out);
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <set>
@@ -221,8 +222,6 @@ TEST(KokoIndexTest, SaveLoadRoundTrip) {
   EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
   EXPECT_EQ((*loaded)->LookupWord("delicious"), index->LookupWord("delicious"));
   EXPECT_EQ((*loaded)->AllEntities().size(), index->AllEntities().size());
-  // The sid caches came from the delta-encoded section, not a rebuild.
-  EXPECT_TRUE((*loaded)->sid_caches_from_disk());
   std::remove(path.c_str());
 }
 
@@ -243,7 +242,6 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_FALSE((*copied)->mapped());
   EXPECT_TRUE((*mapped)->mapped());
-  EXPECT_TRUE((*mapped)->sid_caches_from_disk());
 
   // No posting-payload copy: the mapped index's sid caches attribute ~0
   // heap bytes (only trie-node rows etc. remain owned), the copied one a
@@ -293,85 +291,6 @@ TEST(KokoIndexTest, MmapLoadMatchesCopyLoad) {
   std::remove(path.c_str());
 }
 
-TEST(KokoIndexTest, MmapLoadFallsBackOnLegacyImages) {
-  // kMap on a v2 (flat-delta) or v1 (catalog-only) image must still load —
-  // transparently copying, since those layouts cannot be aliased.
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_mmap_legacy.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->Save(&writer, /*version=*/2).ok());
-  }
-  auto v2 = KokoIndex::Load(path, LoadMode::kMap);
-  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
-  EXPECT_FALSE((*v2)->mapped());  // copied, not aliased
-  EXPECT_TRUE((*v2)->sid_caches_from_disk());
-  EXPECT_EQ((*v2)->LookupWord("delicious"), index->LookupWord("delicious"));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->catalog().Save(&writer).ok());
-  }
-  auto v1 = KokoIndex::Load(path, LoadMode::kMap);
-  ASSERT_TRUE(v1.ok()) << v1.status().ToString();
-  EXPECT_FALSE((*v1)->mapped());
-  EXPECT_EQ((*v1)->LookupWord("delicious"), index->LookupWord("delicious"));
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, SaveVersionKnobWritesLoadableV3AndV4) {
-  // The explicit version knob: 4 (current, bit-packed blocks) and 3
-  // (varint blocks) both round-trip through kCopy and kMap, answer
-  // identically, and the no-version overload writes exactly v4.
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 31});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  auto read_all = [](const std::string& p) {
-    std::ifstream in(p, std::ios::binary);
-    return std::vector<char>((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  };
-  std::string default_path = ::testing::TempDir() + "/koko_ver_default.bin";
-  ASSERT_TRUE(index->Save(default_path).ok());
-  for (uint32_t version : {3u, 4u}) {
-    std::string path = ::testing::TempDir() + "/koko_ver_" +
-                       std::to_string(version) + ".bin";
-    {
-      std::ofstream out(path, std::ios::binary);
-      BinaryWriter writer(&out);
-      ASSERT_TRUE(index->Save(&writer, version).ok());
-    }
-    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
-      auto loaded = KokoIndex::Load(path, mode);
-      ASSERT_TRUE(loaded.ok())
-          << "v" << version << ": " << loaded.status().ToString();
-      EXPECT_EQ((*loaded)->mapped(), mode == LoadMode::kMap) << version;
-      EXPECT_TRUE((*loaded)->sid_caches_from_disk()) << version;
-      const BlockList* sids = (*loaded)->WordSids("happy");
-      ASSERT_NE(sids, nullptr) << version;
-      // v4 images hold packed payloads, v3 varint payloads.
-      EXPECT_EQ(sids->packed(), version == 4) << version;
-      EXPECT_EQ((*loaded)->LookupWord("happy"), index->LookupWord("happy"))
-          << version;
-      PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-      EXPECT_EQ((*loaded)->LookupParseLabelPath(p),
-                index->LookupParseLabelPath(p))
-          << version;
-      EXPECT_EQ((*loaded)->AllEntitySids(), index->AllEntitySids()) << version;
-    }
-    if (version == 4) {
-      EXPECT_EQ(read_all(path), read_all(default_path));  // default is v4
-    } else {
-      EXPECT_NE(read_all(path), read_all(default_path));
-    }
-    std::remove(path.c_str());
-  }
-  std::remove(default_path.c_str());
-}
-
 TEST(KokoIndexTest, MmapLoadErrorsAreClean) {
   // Unmappable path: a clean error, not an abort.
   auto missing = KokoIndex::Load(::testing::TempDir() + "/no_such_index.bin",
@@ -387,6 +306,52 @@ TEST(KokoIndexTest, MmapLoadErrorsAreClean) {
     EXPECT_FALSE(KokoIndex::Load(path, LoadMode::kMap).ok()) << bytes;
     EXPECT_FALSE(KokoIndex::Load(path, LoadMode::kCopy).ok()) << bytes;
   }
+  std::remove(path.c_str());
+}
+
+TEST(KokoIndexTest, RetiredImagesAreRejected) {
+  // Only v4 images load. A "KIDX" header naming a retired version (2: flat
+  // varint deltas, 3: varint blocks) or any other, and a bare catalog with
+  // no header (the v1 layout), must fail with ParseError in both modes —
+  // never crash, never fall back to another parser.
+  AnnotatedCorpus corpus = PaperCorpus();
+  auto index = KokoIndex::Build(corpus);
+  std::string path = ::testing::TempDir() + "/koko_index_retired.bin";
+  ASSERT_TRUE(index->Save(path).ok());
+  std::vector<char> image;
+  {
+    std::ifstream in(path, std::ios::binary);
+    image.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(image.size(), 8u);
+  auto expect_parse_error = [&](const std::string& what) {
+    for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+      auto loaded = KokoIndex::Load(path, mode);
+      ASSERT_FALSE(loaded.ok()) << what;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << what << ": " << loaded.status().ToString();
+    }
+  };
+  for (uint32_t version : {1u, 2u, 3u, 5u}) {
+    // The genuine v4 body behind a retired version number, and the bare
+    // 8-byte header.
+    std::vector<char> patched = image;
+    std::memcpy(patched.data() + 4, &version, sizeof(version));
+    for (size_t keep : {patched.size(), size_t{8}}) {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<long>(keep));
+      out.close();
+      expect_parse_error("version " + std::to_string(version) + ", " +
+                         std::to_string(keep) + " bytes");
+    }
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    BinaryWriter writer(&out);
+    ASSERT_TRUE(index->catalog().Save(&writer).ok());
+  }
+  expect_parse_error("catalog-only image");
   std::remove(path.c_str());
 }
 
@@ -421,12 +386,12 @@ TEST(KokoIndexTest, CorruptImageFailsLoadCleanly) {
     EXPECT_FALSE(mapped.ok()) << "mapped, truncated to " << keep << " bytes";
   }
 
-  // Flip bytes in the trailing half (catalog tail + the v3 block-
-  // compressed sid caches: skip-first / skip-offset arrays and delta-block
-  // payloads). Structural damage — continuation bits, oversized counts
-  // (which used to hang Load on a gigabyte allocation), skip offsets out
-  // of bounds or non-monotone, gap monotonicity, payloads not ending on a
-  // block boundary — must fail cleanly; a flip that happens to decode to
+  // Flip bytes in the trailing half (catalog tail + the block-compressed
+  // sid caches: skip-first / skip-offset / skip-width arrays and bit-packed
+  // block payloads). Structural damage — oversized counts (which used to
+  // hang Load on a gigabyte allocation), skip offsets out of bounds or
+  // non-monotone, widths that are not minimal, zero gaps, nonzero padding,
+  // payloads of the wrong size — must fail cleanly; a flip that happens to decode to
   // another valid stream of the recorded length is indistinguishable
   // without a checksum, so the guarantee under test is "clean error or a
   // usable index", never a crash, hang, or out-of-bounds read (the suite
@@ -460,9 +425,9 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
   auto index = KokoIndex::Build(corpus);
 
-  // Size assertion: across every distinct word, the resident block layout
-  // (delta payload + skip table) must beat the decoded u32 layout (sorted
-  // unique sids -> small gaps; one 8-byte skip entry per 128 sids).
+  // Build packs every list once: a freshly built list is already in the
+  // image form (a width per block, arrays the v4 validator accepts
+  // verbatim), and the resident block layout beats the decoded u32 layout.
   std::set<std::string> words;
   for (uint32_t sid = 0; sid < corpus.NumSentences(); ++sid) {
     for (const Token& token : corpus.sentence(sid).tokens) {
@@ -474,82 +439,53 @@ TEST(KokoIndexTest, BlockCompressedSidCachePersistence) {
   for (const std::string& word : words) {
     const BlockList* sids = index->WordSids(word);
     ASSERT_NE(sids, nullptr) << word;
-    // The flat v2 codec and the block layout must agree on the sid set.
-    SidList decoded = sids->Decode();
-    EXPECT_EQ(*DecodeDeltas(EncodeDeltas(decoded)), decoded) << word;
-    EXPECT_EQ(BlockList::FromSidList(decoded), *sids) << word;
+    EXPECT_FALSE(sids->mapped()) << word;
+    ASSERT_EQ(sids->skip_width().size(), sids->NumBlocks()) << word;
+    auto revalidated = BlockList::FromPackedParts(
+        static_cast<uint32_t>(sids->size()), sids->skip_first().ToVector(),
+        sids->skip_offset().ToVector(), sids->skip_width().ToVector(),
+        sids->bytes().ToVector());
+    ASSERT_TRUE(revalidated.ok()) << word << ": "
+                                  << revalidated.status().ToString();
+    EXPECT_EQ(*revalidated, *sids) << word;
     block_bytes += sids->MemoryUsage();
     raw_bytes += sids->size() * sizeof(uint32_t);
   }
   EXPECT_LT(block_bytes, raw_bytes);
 
-  // Round trip: the loaded index restores byte-identical block lists.
-  std::string path = ::testing::TempDir() + "/koko_index_delta_test.bin";
+  // Round trip: both load modes restore the built lists byte for byte
+  // (operator== compares the four arrays bytewise).
+  auto read_all = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+  std::string path = ::testing::TempDir() + "/koko_index_blocks_test.bin";
   ASSERT_TRUE(index->Save(path).ok());
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_TRUE((*loaded)->sid_caches_from_disk());
-  for (const std::string& word : words) {
-    const BlockList* want = index->WordSids(word);
-    const BlockList* got = (*loaded)->WordSids(word);
-    ASSERT_NE(got, nullptr) << word;
-    EXPECT_EQ(*got, *want) << word;
-  }
-  PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-  EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
-  EXPECT_EQ((*loaded)->PosPathSids(MakePath({{"//", "verb"}})),
-            index->PosPathSids(MakePath({{"//", "verb"}})));
-  std::remove(path.c_str());
-}
+  for (LoadMode mode : {LoadMode::kCopy, LoadMode::kMap}) {
+    auto loaded = KokoIndex::Load(path, mode);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->mapped(), mode == LoadMode::kMap);
+    for (const std::string& word : words) {
+      const BlockList* want = index->WordSids(word);
+      const BlockList* got = (*loaded)->WordSids(word);
+      ASSERT_NE(got, nullptr) << word;
+      EXPECT_EQ(got->mapped(), mode == LoadMode::kMap) << word;
+      EXPECT_EQ(*got, *want) << word;
+      EXPECT_EQ(got->bytes().ToVector(), want->bytes().ToVector()) << word;
+    }
+    EXPECT_EQ((*loaded)->AllEntitySids(), index->AllEntitySids());
+    PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
+    EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
+    EXPECT_EQ((*loaded)->PosPathSids(MakePath({{"//", "verb"}})),
+              index->PosPathSids(MakePath({{"//", "verb"}})));
 
-TEST(KokoIndexTest, LegacyV2ImageStillLoads) {
-  // A flat varint-delta (v2) image — what PR-2/PR-3 binaries wrote — must
-  // load into the same index, re-encoded into blocks on the way in.
-  Pipeline pipeline;
-  auto docs = GenerateHappyMoments({.num_moments = 120, .seed = 8});
-  AnnotatedCorpus corpus = pipeline.AnnotateCorpus(docs);
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_v2_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->Save(&writer, /*version=*/2).ok());
+    // Re-saving the loaded index reproduces the file byte for byte.
+    std::string resaved = ::testing::TempDir() + "/koko_index_blocks_resave.bin";
+    ASSERT_TRUE((*loaded)->Save(resaved).ok());
+    EXPECT_EQ(read_all(resaved), read_all(path));
+    std::remove(resaved.c_str());
   }
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE((*loaded)->sid_caches_from_disk());
-  for (const char* word : {"a", "delicious", "ate"}) {
-    const BlockList* want = index->WordSids(word);
-    const BlockList* got = (*loaded)->WordSids(word);
-    ASSERT_EQ(got == nullptr, want == nullptr) << word;
-    if (want != nullptr) EXPECT_EQ(*got, *want) << word;
-  }
-  PathQuery p = MakePath({{"/", "root"}, {"//", "dobj"}});
-  EXPECT_EQ((*loaded)->LookupParseLabelPath(p), index->LookupParseLabelPath(p));
-  EXPECT_EQ((*loaded)->PlPathSids(p), index->PlPathSids(p));
-  std::remove(path.c_str());
-}
-
-TEST(KokoIndexTest, LegacyCatalogOnlyImageStillLoads) {
-  // A v1 image is a bare catalog (no "KIDX" magic, no sid-cache section);
-  // Load must detect it and rebuild every projection from the tables.
-  AnnotatedCorpus corpus = PaperCorpus();
-  auto index = KokoIndex::Build(corpus);
-  std::string path = ::testing::TempDir() + "/koko_index_v1_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    BinaryWriter writer(&out);
-    ASSERT_TRUE(index->catalog().Save(&writer).ok());
-  }
-  auto loaded = KokoIndex::Load(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_FALSE((*loaded)->sid_caches_from_disk());
-  EXPECT_EQ((*loaded)->LookupWord("delicious"), index->LookupWord("delicious"));
-  const BlockList* want = index->WordSids("ate");
-  const BlockList* got = (*loaded)->WordSids("ate");
-  ASSERT_NE(got, nullptr);
-  ASSERT_NE(want, nullptr);
-  EXPECT_EQ(*got, *want);
   std::remove(path.c_str());
 }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 
 #include "corpus/generators.h"
 #include "corpus/query_gen.h"
@@ -38,51 +37,7 @@ void ExpectIdenticalResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-// ---- Representation-choice unit tests ---------------------------------------
-
-TEST(PlannerTest, ChooseIntersectRepBoundaries) {
-  PlannerOptions opts;
-  opts.decode_gallop_min_ratio = 16;
-  opts.decode_gallop_max_ratio = 4096;
-  // Compressed side no larger than the list side: always in-place.
-  EXPECT_EQ(ChooseIntersectRep(100, 100, opts), IntersectRep::kBlockInPlace);
-  EXPECT_EQ(ChooseIntersectRep(100, 50, opts), IntersectRep::kBlockInPlace);
-  // Below the band: in-place.
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 15, opts),
-            IntersectRep::kBlockInPlace);
-  // Inside [min, max): decode-then-gallop.
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 16, opts),
-            IntersectRep::kDecodeThenGallop);
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 4095, opts),
-            IntersectRep::kDecodeThenGallop);
-  // At or above max: back to in-place (skipped blocks win at extreme skew).
-  EXPECT_EQ(ChooseIntersectRep(100, 100 * 4096, opts),
-            IntersectRep::kBlockInPlace);
-  // Empty accumulator estimate never divides by zero.
-  EXPECT_EQ(ChooseIntersectRep(0, 17, opts), IntersectRep::kDecodeThenGallop);
-}
-
-TEST(PlannerTest, IntersectWithRepMatchesIntersect) {
-  std::mt19937 rng(7);
-  for (size_t small_n : {0u, 1u, 57u, 400u}) {
-    for (size_t ratio : {1u, 8u, 64u, 700u}) {
-      const size_t big_n = std::max<size_t>(small_n * ratio, 1);
-      std::uniform_int_distribution<uint32_t> dist(
-          0, static_cast<uint32_t>(big_n * 9));
-      std::vector<uint32_t> a_ids, b_ids;
-      for (size_t i = 0; i < small_n; ++i) a_ids.push_back(dist(rng));
-      for (size_t i = 0; i < big_n; ++i) b_ids.push_back(dist(rng));
-      SidList a = SidList::FromUnsorted(std::move(a_ids));
-      BlockList b =
-          BlockList::FromSidList(SidList::FromUnsorted(std::move(b_ids)));
-      SidList want = Intersect(a, b);
-      EXPECT_EQ(IntersectWithRep(a, b, IntersectRep::kBlockInPlace), want)
-          << small_n << "x" << ratio;
-      EXPECT_EQ(IntersectWithRep(a, b, IntersectRep::kDecodeThenGallop), want)
-          << small_n << "x" << ratio;
-    }
-  }
-}
+// ---- Skip-table statistics ---------------------------------------------------
 
 TEST(PlannerTest, StatsOfReadsSkipTable) {
   SidList list = SidList::FromSorted({5, 10, 200, 1000, 4005});
@@ -214,7 +169,7 @@ TEST(PlannerTest, PlanCacheHitMissAndClear) {
   GetOrBuildPlan(*index, *cq, opts, &cache, 1);
   EXPECT_EQ(cache.stats().misses, 2u);
   PlannerOptions other = opts;
-  other.decode_gallop_min_ratio += 1;
+  other.semi_join_max_fraction += 0.25;
   GetOrBuildPlan(*index, *cq, other, &cache, 0);
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.size(), 3u);
@@ -405,7 +360,7 @@ TEST(PlannerTest, ExplainSurfacesPlanAndExecution) {
   const std::string plan_text = ExplainPlan(*result->plan);
   EXPECT_NE(plan_text.find("clause"), std::string::npos);
   EXPECT_NE(plan_text.find("entity"), std::string::npos);
-  EXPECT_NE(plan_text.find("rep="), std::string::npos);
+  EXPECT_NE(plan_text.find("blocks="), std::string::npos);
   const std::string exec_text = ExplainExecution(*result);
   EXPECT_NE(exec_text.find("candidate"), std::string::npos);
   if (result->early_terminated) {

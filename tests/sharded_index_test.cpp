@@ -5,12 +5,14 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "corpus/generators.h"
 #include "index/path_lookup.h"
 #include "koko/engine.h"
 #include "nlp/pipeline.h"
+#include "storage/serde.h"
 #include "util/thread_pool.h"
 
 namespace koko {
@@ -171,8 +173,6 @@ TEST(ShardedKokoIndexTest, SaveLoadRoundTrip) {
   for (size_t i = 0; i < built->num_shards(); ++i) {
     EXPECT_EQ((*loaded)->shard_range(i).begin, built->shard_range(i).begin);
     EXPECT_EQ((*loaded)->shard_range(i).end, built->shard_range(i).end);
-    // Each shard restores its sid caches from the delta-encoded section.
-    EXPECT_TRUE((*loaded)->shard(i).sid_caches_from_disk());
   }
   for (const char* word : {"a", "delicious", "ate"}) {
     EXPECT_EQ((*loaded)->LookupWord(word), built->LookupWord(word)) << word;
@@ -228,9 +228,6 @@ TEST(ShardedKokoIndexTest, ParallelLoadMatchesSerialLoad) {
     auto got = ShardedKokoIndex::Load(path, variants[v]);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ((*got)->num_shards(), (*want)->num_shards()) << v;
-    for (size_t i = 0; i < (*want)->num_shards(); ++i) {
-      EXPECT_TRUE((*got)->shard(i).sid_caches_from_disk()) << v;
-    }
     for (const char* word : {"a", "delicious", "ate", "zzz-absent"}) {
       EXPECT_EQ((*got)->LookupWord(word), (*want)->LookupWord(word))
           << "v=" << v << " word=" << word;
@@ -284,7 +281,6 @@ TEST(ShardedKokoIndexTest, MmapLoadMatchesCopyLoad) {
           << context;
       for (size_t i = 0; i < k; ++i) {
         EXPECT_TRUE((*got)->shard(i).mapped()) << context;
-        EXPECT_TRUE((*got)->shard(i).sid_caches_from_disk()) << context;
         EXPECT_EQ((*got)->shard_range(i).begin, built->shard_range(i).begin);
         EXPECT_EQ((*got)->shard_range(i).end, built->shard_range(i).end);
       }
@@ -366,6 +362,48 @@ TEST(ShardedKokoIndexTest, MmapLoadErrorsAreClean) {
     out.close();
     EXPECT_FALSE(ShardedKokoIndex::Load(path, options).ok()) << bytes;
     EXPECT_FALSE(ShardedKokoIndex::Load(path).ok()) << bytes;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ShardedKokoIndexTest, RetiredImagesAreRejected) {
+  // A v1 shard manifest (no extents) and a v2 manifest whose shard image
+  // names a retired index version must each fail with ParseError in both
+  // load modes.
+  AnnotatedCorpus corpus = MomentsCorpus(30, 79);
+  auto built = ShardedKokoIndex::Build(corpus, 1);
+  std::string path = ::testing::TempDir() + "/sharded_index_retired.bin";
+  ShardedKokoIndex::LoadOptions map_options;
+  map_options.mode = LoadMode::kMap;
+  auto expect_parse_error = [&](const std::string& what) {
+    for (const auto& options : {ShardedKokoIndex::LoadOptions(), map_options}) {
+      auto loaded = ShardedKokoIndex::Load(path, options);
+      ASSERT_FALSE(loaded.ok()) << what;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kParseError)
+          << what << ": " << loaded.status().ToString();
+    }
+  };
+  {
+    // magic | version 1 | count | range, then the shard image, no extent.
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    BinaryWriter writer(&out);
+    writer.WriteU32(0x4b534844);  // "KSHD"
+    writer.WriteU32(1);
+    writer.WriteU32(1);
+    writer.WriteU32(built->shard_range(0).begin);
+    writer.WriteU32(built->shard_range(0).end);
+    ASSERT_TRUE(built->shard(0).Save(&writer).ok());
+  }
+  expect_parse_error("v1 manifest");
+  ASSERT_TRUE(built->Save(path).ok());
+  for (uint32_t version : {2u, 3u}) {
+    // The shard image's version field: after the 28-byte one-shard
+    // manifest (magic, version, count, range, extent) and the image magic.
+    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+    file.seekp(28 + 4);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    file.close();
+    expect_parse_error("shard image version " + std::to_string(version));
   }
   std::remove(path.c_str());
 }
